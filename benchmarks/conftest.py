@@ -2,79 +2,16 @@
 
 The expensive artifacts (the DBLP database and the full 18-participant
 study run) are session-scoped so each bench module reuses them.
-
-At session end, two JSON artifacts are written next to this file (see
-DESIGN.md "Benchmark artifacts"):
-
-* ``BENCH_METRICS.json`` — a snapshot of the process metrics registry
-  (pipeline stage-latency histograms, validator/evaluator/planner
-  counters), so benchmark entries carry per-stage data;
-* ``BENCH_RESULTS.json`` — a stable per-task latency table produced by
-  :func:`repro.evaluation.bench.collect_task_results` (the same
-  collector the ``repro bench-check`` regression watchdog uses): each
-  of the nine study tasks' reference phrasing is run
-  ``DEFAULT_REPEATS`` times through a fresh DBLP pipeline, recording
-  end-to-end mean/p95, the raw per-run samples, and the per-stage
-  breakdown taken from each run's trace.  The file also carries a
-  ``serving`` section from
-  :func:`repro.evaluation.bench.collect_serve_results` — sustained QPS
-  and server-side p50/p95/p99 under concurrent clients — so the
-  watchdog ratchets serving performance alongside per-task latency,
-  and a ``serving_chaos`` section from
-  :func:`repro.evaluation.bench.collect_serve_chaos_results` — the
-  same workload under the standard injected-fault plan with retrying
-  clients, ratcheting availability and tail latency under faults (plus
-  the tail sampler's retention profile and the flight recorder's byte
-  accounting, gated absolutely), and a ``serving_observability``
-  section from
-  :func:`repro.evaluation.bench.collect_obs_overhead_results` — the
-  same serving workload with the incident-observability layer off vs
-  on, so the watchdog bounds the overhead of the evidence loop.
+Performance is measured by the end-to-end benchmark in ``bench/``; the
+modules here reproduce the paper's figures, tables and examples.
 """
-
-import json
-import pathlib
-import time
 
 import pytest
 
 from repro.core.interface import NaLIX
 from repro.data import generate_dblp, movies_document
 from repro.database.store import Database
-from repro.evaluation.bench import (
-    collect_obs_overhead_results,
-    collect_serve_chaos_results,
-    collect_serve_results,
-    collect_task_results,
-)
 from repro.evaluation.study import Study, StudyConfig
-from repro.obs.metrics import METRICS
-
-_METRICS_SNAPSHOT_PATH = pathlib.Path(__file__).parent / "BENCH_METRICS.json"
-_RESULTS_PATH = pathlib.Path(__file__).parent / "BENCH_RESULTS.json"
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Dump the metrics registry and per-task latency table."""
-    snapshot = METRICS.snapshot()
-    if not snapshot["counters"].get("pipeline.queries"):
-        return  # nothing ran through the pipeline; keep the last dumps
-    payload = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "exitstatus": int(exitstatus),
-        "metrics": snapshot,
-    }
-    _METRICS_SNAPSHOT_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    results = {"timestamp": payload["timestamp"]}
-    results.update(collect_task_results())
-    results["serving"] = collect_serve_results()
-    results["serving_chaos"] = collect_serve_chaos_results()
-    results["serving_observability"] = collect_obs_overhead_results()
-    _RESULTS_PATH.write_text(
-        json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ Subcommands::
     python -m repro tasks   [--books N]           # run the 9 XMP tasks
     python -m repro stats   [--books N] [--format table|json|prom|chrome]
     python -m repro profile [--hz N] [--repeat N] "SENTENCE"
-    python -m repro bench-check [--baseline FILE] [--handicap STAGE=F]
     python -m repro lint    [--data ...] [--tasks|--corpus|--self]
                             [--stdin] [--xquery] [--format text|json|github]
                             ["SENTENCE" ...]
@@ -42,19 +41,17 @@ deterministic fault-injection harness for chaos testing.
 Profiling & memory (see README.md "Profiling"): ``query --profile``
 samples the query's stacks into a ``flamegraph.pl``-compatible
 collapsed-stack file, the ``profile`` subcommand re-asks a query N
-times and emits collapsed or speedscope output, ``--memory`` turns on
-per-stage tracemalloc accounting, and ``bench-check`` compares a fresh
-benchmark run against the committed ``benchmarks/BENCH_RESULTS.json``
-baseline (nonzero exit on regression).
+times and emits collapsed or speedscope output, and ``--memory`` turns
+on per-stage tracemalloc accounting.  Performance is measured by the
+end-to-end benchmark in ``bench/`` (``bench/run.py``, compared with
+``bench/compare.py`` against the workloads ``BENCHMARK.json`` declares).
 
 Serving (see README.md "Serving"): ``serve`` runs the concurrent HTTP
 query service (``/query``, ``/metrics``, ``/healthz``, ``/readyz``,
 ``/statusz``) with per-tenant admission control and graceful drain on
 SIGTERM; ``loadgen`` drives a running server with N concurrent clients
 and cross-checks its ``/metrics`` percentiles; ``stats --url`` reads a
-live server's exposition text instead of replaying queries locally;
-``bench-check --serve`` includes the sustained-throughput serving
-benchmark in the fresh run.
+live server's exposition text instead of replaying queries locally.
 
 Correctness observability (see README.md "Correctness observability"):
 ``serve`` runs a golden-query canary by default on the baselined dblp
@@ -356,108 +353,6 @@ def cmd_profile(args):
     return 0 if result is not None and result.ok else 1
 
 
-def cmd_bench_check(args):
-    """The perf-regression watchdog: fresh run vs committed baseline."""
-    import json as json_module
-
-    from repro.obs.regression import (
-        Tolerance,
-        apply_handicaps,
-        compare_results,
-        load_results,
-        parse_handicap,
-    )
-
-    try:
-        baseline = load_results(args.baseline)
-    except (OSError, ValueError) as error:
-        raise SystemExit(
-            f"repro: cannot load baseline {args.baseline!r}: {error}"
-        )
-    if args.current:
-        try:
-            current = load_results(args.current)
-        except (OSError, ValueError) as error:
-            raise SystemExit(
-                f"repro: cannot load results {args.current!r}: {error}"
-            )
-    else:
-        from repro.evaluation.bench import collect_task_results
-
-        print(
-            f"bench-check: running {args.repeats} repeat(s) per task "
-            f"(dblp, {args.books} books)...",
-            file=sys.stderr,
-        )
-        current = collect_task_results(
-            repeats=args.repeats, books=args.books, seed=args.seed
-        )
-    handicaps = {}
-    for spec in args.handicap or ():
-        try:
-            stage, factor = parse_handicap(spec)
-        except ValueError as error:
-            raise SystemExit(f"repro: {error}")
-        handicaps[stage] = factor
-    if handicaps:
-        current = apply_handicaps(current, handicaps)
-    if args.serve and "serving" not in current:
-        from repro.evaluation.bench import collect_serve_results
-
-        print("bench-check: running the serving benchmark...",
-              file=sys.stderr)
-        current["serving"] = collect_serve_results(
-            books=args.books, seed=args.seed
-        )
-    if args.serve and "serving_chaos" not in current:
-        from repro.evaluation.bench import collect_serve_chaos_results
-
-        print("bench-check: running the chaos serving benchmark...",
-              file=sys.stderr)
-        current["serving_chaos"] = collect_serve_chaos_results(
-            books=args.books, seed=args.seed
-        )
-    if args.serve and "serving_observability" not in current:
-        from repro.evaluation.bench import collect_obs_overhead_results
-
-        print("bench-check: measuring observability overhead...",
-              file=sys.stderr)
-        current["serving_observability"] = collect_obs_overhead_results(
-            books=args.books, seed=args.seed
-        )
-    if args.serve and "serving_canary" not in current:
-        from repro.evaluation.bench import collect_canary_overhead_results
-
-        print("bench-check: measuring canary overhead...",
-              file=sys.stderr)
-        current["serving_canary"] = collect_canary_overhead_results(
-            books=args.books, seed=args.seed
-        )
-    if args.save_current:
-        with open(args.save_current, "w", encoding="utf-8") as handle:
-            json_module.dump(current, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"saved current run to {args.save_current}", file=sys.stderr)
-    try:
-        tolerance = Tolerance(
-            rel_warn=args.warn,
-            rel_fail=args.fail,
-            mad_factor=args.mad_factor,
-            min_samples=args.min_samples,
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro: {error}")
-    report = compare_results(baseline, current, tolerance)
-    if args.json:
-        _emit(report.to_json() + "\n", args.out)
-    else:
-        _emit(report.render_text(verbose=args.verbose) + "\n", args.out)
-    if args.github:
-        for line in report.github_annotations():
-            print(line)
-    return report.exit_code
-
-
 def _parse_dump_signal(name):
     """``--dump-on SIGUSR1`` → the signal number, or a clear error."""
     import signal as signal_module
@@ -523,26 +418,31 @@ def cmd_serve(args):
         server = ReproServer(database, config=config)
     except ValueError as error:
         raise SystemExit(f"repro: {error}")
-    server.start()
-    print(f"repro serve: listening on {server.url} "
-          f"(max {config.max_inflight} queries in flight"
-          + (f", {config.tenant_rate:g}/s per tenant"
-             if config.tenant_rate else "")
-          + ")")
-    if config.audit_path:
-        print(f"repro serve: access log -> {config.audit_path}")
-    if config.dump_dir:
-        print(f"repro serve: flight-recorder dumps -> {config.dump_dir}"
-              + (f" (and on {args.dump_on})" if args.dump_on else ""))
-    if config.fault_plan:
-        print(f"repro serve: CHAOS — injecting faults: "
-              f"{', '.join(config.fault_plan)}")
-    if server.canary is not None:
-        goldens = "committed goldens" if config.canary_goldens else \
-            "self-baselined goldens"
-        print(f"repro serve: canary sweeping every "
-              f"{config.canary_interval:g}s ({goldens})")
-    signum = server.serve_until_signal()
+
+    def announce():
+        print(f"repro serve: listening on {server.url} "
+              f"(max {config.max_inflight} queries in flight"
+              + (f", {config.tenant_rate:g}/s per tenant"
+                 if config.tenant_rate else "")
+              + ")")
+        if config.audit_path:
+            print(f"repro serve: access log -> {config.audit_path}")
+        if config.dump_dir:
+            print(f"repro serve: flight-recorder dumps -> {config.dump_dir}"
+                  + (f" (and on {args.dump_on})" if args.dump_on else ""))
+        if config.fault_plan:
+            print(f"repro serve: CHAOS — injecting faults: "
+                  f"{', '.join(config.fault_plan)}")
+        if server.canary is not None:
+            goldens = "committed goldens" if config.canary_goldens else \
+                "self-baselined goldens"
+            print(f"repro serve: canary sweeping every "
+                  f"{config.canary_interval:g}s ({goldens})")
+        # Under --port 0 the banner is the only place the port shows
+        # up, so a supervisor reading a pipe must see it now.
+        sys.stdout.flush()
+
+    signum = server.serve_until_signal(on_ready=announce)
     print(f"repro serve: received signal {signum}, drained and stopped")
     return 0
 
@@ -1491,55 +1391,6 @@ def build_parser():
                          help="write the profile to a file instead of stdout")
     profile.add_argument("sentence", help="the English query")
     profile.set_defaults(handler=cmd_profile)
-
-    bench_check = commands.add_parser(
-        "bench-check",
-        help="compare a fresh benchmark run against the committed baseline",
-    )
-    bench_check.add_argument("--baseline",
-                             default="benchmarks/BENCH_RESULTS.json",
-                             metavar="PATH",
-                             help="baseline results (default: %(default)s)")
-    bench_check.add_argument("--current", metavar="PATH",
-                             help="ingest a saved results file instead of "
-                             "running the benchmark tasks")
-    bench_check.add_argument("--repeats", type=int, default=5,
-                             help="repeats per task for the fresh run")
-    bench_check.add_argument("--books", type=int, default=120)
-    bench_check.add_argument("--seed", type=int, default=7)
-    bench_check.add_argument("--warn", type=float, default=0.25,
-                             metavar="FRACTION",
-                             help="relative slowdown that warns "
-                             "(default: %(default)s)")
-    bench_check.add_argument("--fail", type=float, default=1.0,
-                             metavar="FRACTION",
-                             help="relative slowdown that fails "
-                             "(default: %(default)s)")
-    bench_check.add_argument("--mad-factor", type=float, default=4.0,
-                             help="noise guard: tolerate this many MADs of "
-                             "the current samples")
-    bench_check.add_argument("--min-samples", type=int, default=3,
-                             help="skip comparisons with fewer runs")
-    bench_check.add_argument("--handicap", action="append",
-                             metavar="STAGE=FACTOR",
-                             help="synthetically slow a stage of the current "
-                             "run (gate self-test; repeatable)")
-    bench_check.add_argument("--save-current", metavar="PATH",
-                             help="also write the current run's results JSON")
-    bench_check.add_argument("--json", action="store_true",
-                             help="emit the report as JSON")
-    bench_check.add_argument("--verbose", action="store_true",
-                             help="list every comparison, not just "
-                             "warnings and failures")
-    bench_check.add_argument("--github", action="store_true",
-                             help="emit ::warning/::error workflow "
-                             "annotation lines")
-    bench_check.add_argument("--out", metavar="PATH",
-                             help="write the report to a file")
-    bench_check.add_argument("--serve", action="store_true",
-                             help="also run the sustained-throughput "
-                             "serving benchmark in the fresh run")
-    bench_check.set_defaults(handler=cmd_bench_check)
 
     serve = commands.add_parser(
         "serve",

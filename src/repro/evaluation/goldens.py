@@ -14,9 +14,13 @@ sha256 over versioned canonical JSON.  Regenerate after an intentional
 pipeline change with::
 
     PYTHONPATH=src python -c "
-    from repro.evaluation.bench import build_bench_nalix
+    from repro.core.interface import NaLIX
+    from repro.data import DblpConfig, generate_dblp
+    from repro.database.store import Database
     from repro.evaluation.goldens import compute_goldens
-    print(compute_goldens(build_bench_nalix(books=40, seed=7)))"
+    database = Database()
+    database.load_document(generate_dblp(DblpConfig(books=40, seed=7)))
+    print(compute_goldens(NaLIX(database)))"
 
 and paste the result here.  An *unintentional* digest change is
 exactly what the canary (and the ``tests/serve/test_canary.py``
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 #: ``{golden_key: {task_id: digest}}`` for the baselined datasets.
 #: ``dblp:books=40:seed=7`` is the CI smoke dataset;
-#: ``dblp:books=120:seed=7`` is the benchmark/serve default.
+#: ``dblp:books=120:seed=7`` is the serve default.
 GOLDEN_DIGESTS = {
     "dblp:books=40:seed=7": {
         "Q1": "33bcf82686a8fbd4",

@@ -31,8 +31,8 @@ instrument itself freely):
 * :mod:`repro.obs.export` — standard wire formats: Chrome trace-event
   JSON, the Prometheus text exposition format, and the sliding-window
   latency tracker ``LATENCIES``.
-* :mod:`repro.obs.quantiles` — the shared nearest-rank percentile and
-  median-absolute-deviation helpers every latency summary goes through.
+* :mod:`repro.obs.quantiles` — the shared nearest-rank percentile
+  helper every latency summary goes through.
 * :mod:`repro.obs.profiler` — a dependency-free sampling profiler
   (``sys._current_frames()`` walked from a daemon thread) attributing
   collapsed stacks to the enclosing trace span; emits ``flamegraph.pl``
@@ -40,10 +40,6 @@ instrument itself freely):
 * :mod:`repro.obs.memory` — per-query memory accounting: peak RSS on
   every query, opt-in tracemalloc per-stage deltas and top-N
   allocation sites.
-* :mod:`repro.obs.regression` — the perf-regression watchdog comparing
-  a fresh benchmark run against the committed
-  ``benchmarks/BENCH_RESULTS.json`` baseline with a robust tolerance
-  rule (relative thresholds + MAD guard + min-sample floor).
 * :mod:`repro.obs.slo` — declarative availability/latency SLOs over the
   live request stream with Google-SRE multi-window burn-rate alerting.
 * :mod:`repro.obs.sampler` — tail-based trace sampling: always retain
@@ -115,17 +111,8 @@ from repro.obs.provenance import (
     token_records_from_tree,
     validation_records_from_feedback,
 )
-from repro.obs.quantiles import median, median_abs_deviation, nearest_rank
+from repro.obs.quantiles import nearest_rank
 from repro.obs.recorder import FlightRecorder, RecordedTrace
-from repro.obs.regression import (
-    Finding,
-    RegressionReport,
-    Tolerance,
-    apply_handicaps,
-    compare_results,
-    load_results,
-    parse_handicap,
-)
 from repro.obs.sampler import SampleDecision, TailSampler
 from repro.obs.slo import SLOEngine, SLOSpec, SLOTracker
 from repro.obs.spans import Span, Trace, activate_trace, current_trace, span
@@ -145,7 +132,6 @@ __all__ = [
     "ClauseRecord",
     "Counter",
     "Explanation",
-    "Finding",
     "FlightRecorder",
     "Gauge",
     "Histogram",
@@ -159,7 +145,6 @@ __all__ = [
     "QueryProvenance",
     "ReadStats",
     "RecordedTrace",
-    "RegressionReport",
     "SLOEngine",
     "SLOSpec",
     "SLOTracker",
@@ -168,7 +153,6 @@ __all__ = [
     "Span",
     "TailSampler",
     "TokenRecord",
-    "Tolerance",
     "Trace",
     "ValidationRecord",
     "activate_memory_tracking",
@@ -176,14 +160,12 @@ __all__ = [
     "activate_profiling",
     "activate_trace",
     "answer_digest",
-    "apply_handicaps",
     "audit_entry",
     "canonical_value",
     "chrome_trace",
     "chrome_trace_events",
     "chrome_trace_json",
     "collapsed_text",
-    "compare_results",
     "current_memory_spec",
     "current_plan_stats",
     "current_profile_spec",
@@ -191,9 +173,6 @@ __all__ = [
     "explain",
     "format_traceparent",
     "iter_records",
-    "load_results",
-    "median",
-    "median_abs_deviation",
     "merge_profiles",
     "nearest_rank",
     "new_span_id",
@@ -201,7 +180,6 @@ __all__ = [
     "normalize_answer",
     "operator",
     "parse_traceparent",
-    "parse_handicap",
     "peak_rss_bytes",
     "prometheus_text",
     "read_audit_log",

@@ -7,8 +7,7 @@ the innermost open span of the query's :class:`~repro.obs.spans.Trace`.
 That one extra field is what makes the output actionable: a collapsed
 stack does not just say "``_structural_join`` is hot", it says
 "``_structural_join`` is hot *inside the evaluate stage*", so profile
-data lines up with the per-stage timings in traces, audit records, and
-``BENCH_RESULTS.json``.
+data lines up with the per-stage timings in traces and audit records.
 
 Output formats (both renderable without any third-party package):
 

@@ -1,4 +1,4 @@
-"""Shared order statistics: nearest-rank percentiles and MAD.
+"""Shared order statistics: nearest-rank percentiles.
 
 Every percentile in the repo — histogram summaries, the sliding
 latency window, the ``stats`` CLI table, and the benchmark harness —
@@ -8,12 +8,6 @@ means.  Before this module existed each call site carried its own
 whenever ``fraction * n`` lands on an integer (the p50 of four samples
 came back as the third-smallest, and the p95 of a 20-sample window as
 the maximum), so small benchmark repeats reported biased percentiles.
-
-:func:`median_abs_deviation` is the robust spread estimate used by the
-perf-regression watchdog (:mod:`repro.obs.regression`): unlike the
-standard deviation it ignores a single wild outlier run, which is
-exactly the noise profile of wall-clock benchmarks on shared CI
-machines.
 """
 
 from __future__ import annotations
@@ -36,20 +30,3 @@ def nearest_rank(samples, fraction):
     rank = math.ceil(fraction * len(ordered))
     return ordered[min(len(ordered) - 1, max(rank - 1, 0))]
 
-
-def median(samples):
-    """The nearest-rank median (lower of the two middles for even n)."""
-    return nearest_rank(samples, 0.5)
-
-
-def median_abs_deviation(samples):
-    """Median of absolute deviations from the median (0.0 when empty).
-
-    A robust spread estimate: one outlier among five benchmark repeats
-    moves the MAD far less than it moves the standard deviation.
-    """
-    values = list(samples)
-    if not values:
-        return 0.0
-    center = median(values)
-    return median(abs(value - center) for value in values)

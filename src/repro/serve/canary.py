@@ -58,8 +58,8 @@ _SWEEPS = METRICS.counter("canary.sweeps")
 
 
 def _default_tasks():
-    # Lazy: repro.evaluation.bench imports repro.serve, so a module-top
-    # import here would be circular.
+    # Lazy: the repro.evaluation package imports the whole study
+    # harness, which a server running without a canary never needs.
     from repro.evaluation.tasks import reference_sentences
 
     return reference_sentences()

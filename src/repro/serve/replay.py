@@ -11,20 +11,19 @@ diff what came back against what the log promised:
 
 * **digest**: recorded vs replayed answer fingerprint.  A mismatch is
   the headline failure — the same question now yields a different
-  answer — and fails the run (exit code 1), mirroring ``bench-check``.
+  answer — and fails the run (exit code 1).
 * **status**: ``ok`` → ``degraded`` (or any transition) with an intact
   digest is a WARN — the answer survived but travelled a different
   path, which is how silent ladder regressions look.
 * **latency**: recorded vs replayed p50/p95/p99 of end-to-end seconds,
-  reported as deltas (informational; latency gating belongs to
-  ``bench-check``'s MAD-guarded tolerance, not a log diff).
+  reported as deltas (informational; latency is measured by the
+  benchmark in ``bench/``, not by a log diff).
 
 Records without a digest (logs from before the fingerprint era, or
 event lines like ``watchdog-stuck``) are SKIPped, not failed, so
-replay degrades gracefully over historical logs.  Verdict vocabulary
-and exit-code semantics are shared with :mod:`repro.obs.regression`:
-PASS/WARN in text or ``--github`` annotation form, exit 1 only on
-FAIL.
+replay degrades gracefully over historical logs.  Each row gets one
+of four verdicts (PASS/WARN/FAIL/SKIP), reported in text or
+``--github`` annotation form; the run exits 1 only on FAIL.
 """
 
 from __future__ import annotations
@@ -33,11 +32,13 @@ import json
 
 from repro.obs.audit import ReadStats, iter_records
 from repro.obs.quantiles import nearest_rank
-from repro.obs.regression import FAIL, PASS, SKIP, WARN
 
 #: Tenant replayed queries run under in ``--url`` mode, so a live
 #: server's per-tenant surfaces show replay traffic under its own name.
 REPLAY_TENANT = "replay"
+
+#: Per-row verdicts, in the order the summary line reports them.
+PASS, WARN, FAIL, SKIP = "pass", "warn", "fail", "skip"
 
 
 class ReplayConfig:
@@ -230,7 +231,7 @@ class ReplayReport:
         )
 
     def github_annotations(self):
-        """``::warning``/``::error`` lines, same grammar as bench-check."""
+        """GitHub Actions ``::warning``/``::error`` annotation lines."""
         lines = []
         for row in self.rows:
             if row.verdict == FAIL:

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
 import signal
 import threading
@@ -691,22 +692,26 @@ class ReproServer:
             self.audit.close()
         self._stopped.set()
 
-    def serve_until_signal(self, signals=(signal.SIGTERM, signal.SIGINT)):
-        """Run until SIGTERM/SIGINT, then drain and stop (CLI entry).
+    def serve_until_signal(self, signals=(signal.SIGTERM, signal.SIGINT),
+                           on_ready=None):
+        """Start, run until SIGTERM/SIGINT, then drain and stop (CLI entry).
 
         Must be called from the main thread (signal handler rules).
+        The handlers go in before the listener binds, so a signal sent
+        as soon as ``/readyz`` answers still drains; ``on_ready()`` runs
+        once the server is listening (the CLI prints its banner there).
         Returns the signal number that stopped the server.  When the
         config names a ``dump_signal`` (e.g. SIGUSR1) that signal
         triggers a flight-recorder dump *without* stopping the server.
         """
-        if self._httpd is None:
-            self.start()
         received = {}
-        wake = threading.Event()
+        # A self-pipe, not an Event: the handler runs on the main thread,
+        # possibly inside the wait it ends, so it must take no lock.
+        wake_read, wake_write = os.pipe()
 
         def _on_signal(signum, frame):
             received["signum"] = signum
-            wake.set()
+            os.write(wake_write, b"\0")
 
         def _on_dump_signal(signum, frame):
             self.trigger_dump(f"signal-{signum}")
@@ -719,10 +724,16 @@ class ReproServer:
                 self.config.dump_signal, _on_dump_signal
             )
         try:
-            wake.wait()
+            if self._httpd is None:
+                self.start()
+            if on_ready is not None:
+                on_ready()
+            os.read(wake_read, 1)
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
+            os.close(wake_read)
+            os.close(wake_write)
         self.stop()
         return received.get("signum")
 

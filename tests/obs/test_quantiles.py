@@ -1,8 +1,6 @@
-"""Tests for the shared nearest-rank / MAD helpers."""
+"""Tests for the shared nearest-rank percentile helper."""
 
-import pytest
-
-from repro.obs.quantiles import median, median_abs_deviation, nearest_rank
+from repro.obs.quantiles import nearest_rank
 
 
 class TestNearestRank:
@@ -41,36 +39,3 @@ class TestNearestRank:
     def test_zero_fraction_clamps_to_minimum(self):
         assert nearest_rank([5.0, 1.0, 3.0], 0.0) == 1.0
 
-
-class TestMedian:
-    def test_odd_length(self):
-        assert median([5.0, 1.0, 3.0]) == 3.0
-
-    def test_even_length_takes_lower(self):
-        assert median([1.0, 2.0, 3.0, 4.0]) == 2.0
-
-    def test_empty(self):
-        assert median([]) == 0.0
-
-
-class TestMedianAbsDeviation:
-    def test_empty_and_single(self):
-        assert median_abs_deviation([]) == 0.0
-        assert median_abs_deviation([4.2]) == 0.0
-
-    def test_constant_samples_have_zero_spread(self):
-        assert median_abs_deviation([3.0, 3.0, 3.0]) == 0.0
-
-    def test_known_value(self):
-        # median = 3, |x - 3| = [2, 1, 0, 1, 2], MAD = 1.
-        assert median_abs_deviation([1.0, 2.0, 3.0, 4.0, 5.0]) == 1.0
-
-    def test_outlier_robustness(self):
-        # One wild outlier barely moves the MAD (unlike the stddev).
-        tight = median_abs_deviation([10.0, 11.0, 12.0, 13.0, 14.0])
-        spiked = median_abs_deviation([10.0, 11.0, 12.0, 13.0, 1000.0])
-        assert spiked <= 2 * tight + 1.0
-
-    @pytest.mark.parametrize("samples", [[1.0, 2.0], [0.5, 1.5, 2.5, 9.0]])
-    def test_non_negative(self, samples):
-        assert median_abs_deviation(samples) >= 0.0

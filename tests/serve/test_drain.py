@@ -8,7 +8,12 @@ and a bounded drain.
 
 import json
 import os
+import pathlib
+import queue
+import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -16,6 +21,8 @@ import urllib.request
 
 import pytest
 
+import repro
+from repro.cli import main
 from repro.obs.audit import read_audit_log
 from repro.serve import ReproServer, ServeConfig
 
@@ -270,3 +277,77 @@ def test_stop_flushes_and_closes_the_access_log(movie_nalix, tmp_path):
         entries = [json.loads(line) for line in handle]
     assert len(entries) == 1
     assert entries[0]["http_status"] == 200
+
+
+def test_cli_serve_handles_sigterm_from_the_moment_it_listens(monkeypatch):
+    """The SIGTERM handler is in place when the listener binds."""
+    default = signal.getsignal(signal.SIGTERM)
+    at_bind = {}
+    real_start = ReproServer.start
+
+    def _start(self):
+        port = real_start(self)
+        at_bind["handler"] = signal.getsignal(signal.SIGTERM)
+
+        def _terminate():
+            # Signal only once some handler is in, or pytest dies too.
+            if wait_for(
+                lambda: signal.getsignal(signal.SIGTERM) != default
+            ):
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        threading.Thread(target=_terminate, daemon=True).start()
+        return port
+
+    monkeypatch.setattr(ReproServer, "start", _start)
+    assert main(["serve", "--data", "movies", "--port", "0"]) == 0
+    assert at_bind["handler"] != default
+
+
+def test_sigterm_as_soon_as_ready_drains_the_process():
+    """``repro serve`` drains on a SIGTERM sent once /readyz is 200.
+
+    The child writes to a plain block-buffered pipe, as under a
+    supervisor, so the port shows up only if the banner is flushed.
+    """
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env,
+    )
+    output = []
+    banners = queue.Queue()
+
+    def _read():
+        for line in process.stdout:
+            output.append(line)
+            match = re.search(r"listening on (http://\S+)", line)
+            if match:
+                banners.put(match.group(1))
+
+    reader = threading.Thread(target=_read, daemon=True)
+    reader.start()
+    try:
+        try:
+            url = banners.get(timeout=60.0)
+        except queue.Empty:
+            pytest.fail("no 'listening on' banner: " + "".join(output))
+        while http_status(url + "/readyz") != 200:
+            time.sleep(0.001)
+        process.send_signal(signal.SIGTERM)
+        returncode = process.wait(timeout=60.0)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    reader.join(timeout=10.0)
+    assert not reader.is_alive()
+    process.stdout.close()
+    assert returncode == 0, "".join(output)
+    assert "drained and stopped" in "".join(output)

@@ -19,7 +19,13 @@ import pytest
 from repro.obs.export import parse_prometheus_text, prometheus_sample_exemplar
 from repro.obs.tracecontext import new_trace_id, parse_traceparent
 from repro.resilience.retry import RetryPolicy
-from repro.serve import ReproServer, ServeConfig, ServeClient
+from repro.serve import (
+    LoadgenConfig,
+    ReproServer,
+    ServeClient,
+    ServeConfig,
+    run_loadgen,
+)
 
 
 def http_get(url, headers=None):
@@ -293,3 +299,52 @@ class TestRecordOutcome:
         window = entry["windows"]["fast"]
         assert window["good"] == 1
         assert window["bad"] == 1
+
+
+@pytest.mark.chaos
+class TestEvidenceUnderChaos:
+    """Injected faults under concurrent retrying load: the evidence
+    loop keeps every error-class trace, within its byte budget."""
+
+    def test_errors_retained_within_the_byte_budget(self, movie_database):
+        config = ServeConfig(
+            port=0, max_inflight=8,
+            # Exceptions take the degradation ladder; the 0.3s stalls
+            # go stuck and recover; the 1.2s stalls are force-expired
+            # (a classified 504 the client retries).
+            fault_plan=["evaluate:p=0.1,seed=11",
+                        "evaluate:p=0.1,delay=0.3,seed=12",
+                        "evaluate:p=0.05,delay=1.2,seed=13"],
+            watchdog_soft=0.2, watchdog_hard=0.9, watchdog_interval=0.02,
+            # Small enough that the ring must evict during the run.
+            recorder_max_bytes=16 * 1024,
+        )
+        # A pipeline of its own: the server arms the fault plan on it.
+        with ReproServer(database=movie_database, config=config) as server:
+            report = run_loadgen(LoadgenConfig(
+                server.url, concurrency=8, requests=60, retries=2,
+                task_mix=["find all titles",
+                          "Return the title of every movie directed "
+                          "by Ron Howard."],
+            ))
+            sampler = server.sampler.snapshot()
+            recorder = server.recorder.snapshot()
+            watchdog = server.watchdog.snapshot()
+
+        assert report.availability >= 0.99
+        assert report.unclassified_5xx == 0
+        assert report.transport_errors == 0
+        assert watchdog["stuck_total"] > 0
+        assert watchdog["recovered_total"] + watchdog["expired_total"] > 0
+        # Every error-class trace is evidence; none may be dropped.
+        assert sampler["seen"]["error"] > 0
+        assert sampler["retention"]["error"] == 1.0
+        if sampler["seen"]["slow"]:
+            assert sampler["retention"]["slow"] >= 0.95
+        # Healthy traffic stays head-sampled: the rate plus warm-up
+        # slack, never more.
+        assert sampler["seen"]["healthy"] > 0
+        assert (sampler["retention"]["healthy"]
+                <= sampler["head_rate"] + 0.05)
+        assert recorder["retained_total"] > 0
+        assert recorder["bytes"] <= recorder["max_bytes"]

@@ -6,9 +6,15 @@ import pytest
 
 from repro.core.interface import NaLIX
 from repro.obs.audit import AuditLog
-from repro.obs.regression import FAIL, PASS, SKIP, WARN
 from repro.serve import ReplayConfig, ReproServer, ServeConfig, run_replay
-from repro.serve.replay import classify_row, load_replay_records
+from repro.serve.replay import (
+    FAIL,
+    PASS,
+    SKIP,
+    WARN,
+    classify_row,
+    load_replay_records,
+)
 
 SENTENCES = [
     "Return the title of every movie.",

@@ -404,110 +404,6 @@ class TestProfilingFlags:
         assert "KiB/query" in output
 
 
-class TestBenchCheck:
-    BASELINE = {
-        "repeats": 5,
-        "tasks": {
-            "Q1": {
-                "sentence": "Return every book.",
-                "status": "ok",
-                "runs": 5,
-                "mean_seconds": 0.010,
-                "p95_seconds": 0.012,
-                "samples_seconds": [0.009, 0.010, 0.010, 0.011, 0.012],
-                "stage_mean_seconds": {"parse": 0.001, "evaluate": 0.008},
-                "stage_samples_seconds": {
-                    "parse": [0.001] * 5,
-                    "evaluate": [0.007, 0.008, 0.008, 0.008, 0.009],
-                },
-            },
-        },
-    }
-
-    def _write(self, tmp_path, name, payload):
-        import json
-
-        path = tmp_path / name
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        return str(path)
-
-    def test_identical_results_pass(self, tmp_path, capsys):
-        baseline = self._write(tmp_path, "baseline.json", self.BASELINE)
-        code = main(
-            ["bench-check", "--baseline", baseline, "--current", baseline]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "RESULT: PASS" in output
-
-    def test_handicapped_stage_fails_gate(self, tmp_path, capsys):
-        baseline = self._write(tmp_path, "baseline.json", self.BASELINE)
-        code = main(
-            ["bench-check", "--baseline", baseline, "--current", baseline,
-             "--handicap", "evaluate=3"]
-        )
-        output = capsys.readouterr().out
-        assert code == 1
-        assert "RESULT: FAIL (perf regression)" in output
-        assert "stage:evaluate" in output
-
-    def test_json_report(self, tmp_path, capsys):
-        import json
-
-        baseline = self._write(tmp_path, "baseline.json", self.BASELINE)
-        code = main(
-            ["bench-check", "--baseline", baseline, "--current", baseline,
-             "--handicap", "evaluate=3", "--json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert payload["ok"] is False
-        assert payload["counts"]["fail"] > 0
-
-    def test_github_annotations(self, tmp_path, capsys):
-        baseline = self._write(tmp_path, "baseline.json", self.BASELINE)
-        code = main(
-            ["bench-check", "--baseline", baseline, "--current", baseline,
-             "--handicap", "evaluate=3", "--github", "--out",
-             str(tmp_path / "report.txt")]
-        )
-        output = capsys.readouterr().out
-        assert code == 1
-        assert "::error title=perf regression::" in output
-
-    def test_save_current(self, tmp_path, capsys):
-        import json
-
-        baseline = self._write(tmp_path, "baseline.json", self.BASELINE)
-        saved = tmp_path / "current.json"
-        code = main(
-            ["bench-check", "--baseline", baseline, "--current", baseline,
-             "--save-current", str(saved)]
-        )
-        assert code == 0
-        assert json.loads(saved.read_text(encoding="utf-8"))["tasks"]
-
-    def test_missing_baseline_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["bench-check", "--baseline", str(tmp_path / "nope.json")])
-
-    def test_bad_handicap_exits(self, tmp_path):
-        baseline = self._write(tmp_path, "baseline.json", self.BASELINE)
-        with pytest.raises(SystemExit):
-            main(
-                ["bench-check", "--baseline", baseline,
-                 "--current", baseline, "--handicap", "evaluate"]
-            )
-
-    def test_bad_tolerance_exits(self, tmp_path):
-        baseline = self._write(tmp_path, "baseline.json", self.BASELINE)
-        with pytest.raises(SystemExit):
-            main(
-                ["bench-check", "--baseline", baseline,
-                 "--current", baseline, "--warn", "2.0", "--fail", "0.5"]
-            )
-
-
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -516,7 +412,7 @@ class TestParser:
     def test_all_commands_registered(self):
         parser = build_parser()
         for command in ("query", "repl", "xquery", "tasks", "stats",
-                        "profile", "bench-check", "study", "generate"):
+                        "profile", "study", "generate"):
             args = parser.parse_args(
                 [command]
                 + (["x"] if command in ("query", "xquery", "profile")
