@@ -3,7 +3,7 @@
 qlint (DESIGN §8) lints the XQuery the pipeline *produces*; srclint
 lints the Python source the pipeline *is*.  The serving stack (PRs
 6–9) holds ~19 locks across 16 modules, runs five daemon threads, and
-threads per-request state through six ContextVars — the hazard
+threads per-request state through four ContextVars — the hazard
 surface here is deadlock, leaked context, and clock misuse, not
 unbound variables.  Four static passes over stdlib ``ast``:
 

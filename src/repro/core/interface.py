@@ -54,12 +54,7 @@ from repro.obs.answers import answer_digest
 from repro.obs.export import LATENCIES
 from repro.obs.memory import MemorySpec, MemoryTracker, current_memory_spec
 from repro.obs.metrics import METRICS
-from repro.obs.plan_stats import PlanStatsCollection, activate_plan_stats
-from repro.obs.profiler import (
-    ProfileSpec,
-    SamplingProfiler,
-    current_profile_spec,
-)
+from repro.obs.profiler import ProfileSpec, SamplingProfiler
 from repro.obs.provenance import (
     QueryProvenance,
     token_records_from_tree,
@@ -72,6 +67,7 @@ from repro.resilience.budget import (
     QueryBudget,
     activate_budget,
     check_deadline,
+    deadline_share,
 )
 from repro.resilience.errors import (
     BrownoutDegraded,
@@ -112,6 +108,10 @@ _STATUS_COUNTERS = {
 }
 #: Degradation-ladder hops, in fallback order.
 _DEGRADATION_HOPS = ("naive-flwor", "keyword-search")
+#: Share of the time left that the naive-FLWOR hop may use.  The rest is
+#: kept for the keyword hop (milliseconds of work), which would
+#: otherwise fail its first deadline check after a naive blow-up.
+_NAIVE_HOP_DEADLINE_SHARE = 0.5
 _DEGRADED_COUNTERS = {
     hop: METRICS.counter(f"resilience.degraded.{hop}")
     for hop in _DEGRADATION_HOPS
@@ -148,9 +148,8 @@ class QueryResult:
         self.xquery_text = None
         self.items = []             # raw evaluation output
         self.analysis = None        # repro.analysis.AnalysisReport
-        self.trace = None           # repro.obs.spans.Trace, set by ask()
+        self.trace = None           # repro.obs.spans.Trace (plan included)
         self.provenance = None      # repro.obs.provenance.QueryProvenance
-        self.plan_stats = None      # repro.obs.plan_stats.PlanStatsCollection
         self.profile = None         # repro.obs.profiler.SamplingProfiler
         self.memory = None          # repro.obs.memory.MemoryTracker
         self.budget = None          # the QueryBudget the query ran under
@@ -389,11 +388,10 @@ class NaLIX:
         profiler as ``result.profile``; ``memory`` (``True`` or a
         :class:`repro.obs.memory.MemorySpec`) accounts per-stage
         tracemalloc deltas and top allocation sites on
-        ``result.memory``.  Both also honour their context-wide
-        activations (``activate_profiling`` /
-        ``activate_memory_tracking``), and both are exception-safe:
-        the sampler thread is stopped and tracemalloc released on
-        every path out of the query.
+        ``result.memory``, and also honours the context-wide
+        ``activate_memory_tracking``.  Both are exception-safe: the
+        sampler thread is stopped and tracemalloc released on every
+        path out of the query.
         """
         # A full query run blocks for up to the budget deadline; under
         # REPRO_RACECHECK=1 flag any caller that reaches it holding a
@@ -403,19 +401,16 @@ class NaLIX:
         trace = Trace()
         result.trace = trace
         result.provenance = QueryProvenance(sentence)
-        plan_stats = PlanStatsCollection()
-        result.plan_stats = plan_stats
-        profile_spec = (ProfileSpec.coerce(profile)
-                        if profile is not None and profile is not False
-                        else current_profile_spec())
         memory_spec = (MemorySpec.coerce(memory)
                        if memory is not None and memory is not False
                        else current_memory_spec())
         tracker = MemoryTracker.from_spec(memory_spec)
         result.memory = tracker
         profiler = None
-        if profile_spec is not None:
-            profiler = SamplingProfiler.from_spec(profile_spec, trace=trace)
+        if profile is not None and profile is not False:
+            profiler = SamplingProfiler.from_spec(
+                ProfileSpec.coerce(profile), trace=trace
+            )
             result.profile = profiler
         if meter is not None:
             spec = meter.budget
@@ -433,7 +428,7 @@ class NaLIX:
             if profiler is not None:
                 profiler.start()
             with trace.span("ask") as root, activate_trace(trace), \
-                    activate_plan_stats(plan_stats), activate_budget(meter):
+                    activate_budget(meter):
                 try:
                     self._run_pipeline(sentence, evaluate, result, trace)
                 except Exception as error:
@@ -452,7 +447,6 @@ class NaLIX:
                 profiler.stop()
             tracker.stop()
             trace.finish_open_spans()
-            plan_stats.finish_open_operators()
             try:
                 # The fingerprint covers the *presented* answer — the
                 # same values() list /query returns — so the audit log,
@@ -671,7 +665,8 @@ class NaLIX:
             try:
                 check_deadline()
                 with trace.span("evaluate-naive") as span, \
-                        memory.stage(span):
+                        memory.stage(span), \
+                        deadline_share(_NAIVE_HOP_DEADLINE_SHARE):
                     span.set("degraded_from", type(primary).__name__)
                     result.items = self.naive_evaluator.run(expr)
                     span.set("items", len(result.items))

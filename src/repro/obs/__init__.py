@@ -7,7 +7,8 @@ instrument itself freely):
 * :mod:`repro.obs.spans` — per-query hierarchical wall-time tracing.
   ``NaLIX.ask`` builds one :class:`Trace` per query and attaches it to
   ``QueryResult.trace``; the span tree doubles as the timing source for
-  the result's ``*_seconds`` properties.
+  the result's ``*_seconds`` properties, and its engine spans are the
+  plan operators (rows in/out, mqf cardinalities, let-cache hits).
 * :mod:`repro.obs.metrics` — a thread-safe process-wide registry of
   named counters, gauges, and histograms (``METRICS``), with
   ``snapshot()`` / ``reset()``, exact sample percentiles, and JSON
@@ -24,10 +25,8 @@ instrument itself freely):
   replay``.
 * :mod:`repro.obs.provenance` — word → token → clause provenance
   records carried on ``QueryResult.provenance``.
-* :mod:`repro.obs.plan_stats` — per-operator plan statistics (rows
-  in/out, mqf cardinalities, let-cache hits, wall time per node).
-* :mod:`repro.obs.explain` — renders provenance + plan stats + trace as
-  a lineage report (text and JSON).
+* :mod:`repro.obs.explain` — renders provenance + plan operators +
+  trace as a lineage report (text and JSON).
 * :mod:`repro.obs.export` — standard wire formats: Chrome trace-event
   JSON, the Prometheus text exposition format, and the sliding-window
   latency tracker ``LATENCIES``.
@@ -87,19 +86,10 @@ from repro.obs.memory import (
     peak_rss_bytes,
 )
 from repro.obs.metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.plan_stats import (
-    OperatorStats,
-    PlanStatsCollection,
-    activate_plan_stats,
-    current_plan_stats,
-    operator,
-)
 from repro.obs.profiler import (
     ProfileSpec,
     SamplingProfiler,
-    activate_profiling,
     collapsed_text,
-    current_profile_spec,
     merge_profiles,
     speedscope_document,
 )
@@ -139,8 +129,6 @@ __all__ = [
     "MemorySpec",
     "MemoryTracker",
     "MetricsRegistry",
-    "OperatorStats",
-    "PlanStatsCollection",
     "ProfileSpec",
     "QueryProvenance",
     "ReadStats",
@@ -156,8 +144,6 @@ __all__ = [
     "Trace",
     "ValidationRecord",
     "activate_memory_tracking",
-    "activate_plan_stats",
-    "activate_profiling",
     "activate_trace",
     "answer_digest",
     "audit_entry",
@@ -167,8 +153,6 @@ __all__ = [
     "chrome_trace_json",
     "collapsed_text",
     "current_memory_spec",
-    "current_plan_stats",
-    "current_profile_spec",
     "current_trace",
     "explain",
     "format_traceparent",
@@ -178,7 +162,6 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "normalize_answer",
-    "operator",
     "parse_traceparent",
     "peak_rss_bytes",
     "prometheus_text",

@@ -12,7 +12,8 @@ nothing from ``repro.core``), :func:`explain` builds an
 5. static-analysis findings from the qlint gate, when any fired
    (``repro.analysis``; a clean analysis renders nothing);
 6. the executed plan with per-operator row counts, cache hits and wall
-   times (``EXPLAIN ANALYZE`` style);
+   times (``EXPLAIN ANALYZE`` style), read from the operator spans
+   under each ``evaluator.run`` span of the query's trace;
 7. per-stage wall times from the trace;
 8. the memory account, when the query ran with tracking on: per-stage
    allocation deltas and the top-N allocation sites by retained size.
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 import json
 
-#: Pipeline stages rendered in the timing section, in execution order.
-_STAGES = ("parse", "classify", "validate", "translate", "analyze",
-           "xquery-parse", "evaluate", "evaluate-naive", "evaluate-keyword")
+from repro.obs.audit import STAGES
+
+#: Operator span attributes a plan line shows in fixed positions.
+_PLAN_FIELDS = ("detail", "rows_in", "rows_out")
 
 
 class Explanation:
@@ -37,8 +39,8 @@ class Explanation:
     def __init__(self, result):
         self.result = result
         self.provenance = getattr(result, "provenance", None)
-        self.plan_stats = getattr(result, "plan_stats", None)
         self.trace = getattr(result, "trace", None)
+        self.operators = _plan_roots(self.trace)
         self.memory = getattr(result, "memory", None)
         self.analysis = getattr(result, "analysis", None)
 
@@ -55,12 +57,16 @@ class Explanation:
             entry["provenance"] = self.provenance.to_dict()
         if self.analysis is not None and self.analysis.findings:
             entry["analysis"] = self.analysis.to_dict()
-        if self.plan_stats:
-            entry["plan"] = self.plan_stats.to_dict()
+        if self.operators:
+            entry["plan"] = {
+                "operators": [op.to_dict() for op in self.operators]
+            }
+            if self.trace.truncated:
+                entry["plan"]["truncated"] = True
         if timings and self.trace is not None:
             entry["stage_seconds"] = {
                 stage: seconds
-                for stage in _STAGES
+                for stage in STAGES
                 if (seconds := self.trace.stage_seconds(stage)) > 0.0
             }
             entry["total_seconds"] = self.trace.total_seconds()
@@ -91,7 +97,7 @@ class Explanation:
         # noise (and keeps the finding-free golden reports stable).
         if self.analysis is not None and self.analysis.findings:
             sections.append(self._analysis_section())
-        if self.plan_stats:
+        if self.operators:
             sections.append(self._plan_section(timings))
         if timings and self.trace is not None:
             sections.append(self._timing_section())
@@ -171,14 +177,22 @@ class Explanation:
         return "\n".join(lines)
 
     def _plan_section(self, timings):
-        rendered = self.plan_stats.render(timings=timings)
-        indented = "\n".join("  " + line for line in rendered.splitlines())
-        return f"Plan (per-operator statistics):\n{indented}"
+        lines = ["Plan (per-operator statistics):"]
+        for root in self.operators:
+            lines.extend(
+                "  " + line for line in _operator_lines(root, timings=timings)
+            )
+        if self.trace.truncated:
+            lines.append(
+                "  ... operator tree truncated at "
+                f"{self.trace.max_engine_spans} nodes"
+            )
+        return "\n".join(lines)
 
     def _memory_section(self):
         memory = self.memory
         lines = ["Memory (tracemalloc deltas + peak RSS):"]
-        for stage in _STAGES:
+        for stage in STAGES:
             stats = memory.stages.get(stage)
             if stats is None:
                 continue
@@ -207,7 +221,7 @@ class Explanation:
 
     def _timing_section(self):
         lines = ["Stage timings:"]
-        for stage in _STAGES:
+        for stage in STAGES:
             seconds = self.trace.stage_seconds(stage)
             if seconds > 0.0:
                 lines.append(f"  {stage:<16}{seconds * 1000:>9.2f} ms")
@@ -218,6 +232,53 @@ class Explanation:
 
     def __repr__(self):
         return f"Explanation({self.result.sentence[:40]!r})"
+
+
+def _plan_roots(trace):
+    """The top operator spans of every ``evaluator.run`` in ``trace``."""
+    if trace is None:
+        return []
+    return [
+        operator
+        for node in trace.iter_spans()
+        if node.name == "evaluator.run"
+        for operator in node.children
+    ]
+
+
+def _operator_lines(span, prefix="", last=True, top=True, timings=True):
+    """One ``EXPLAIN ANALYZE``-style line per operator span, as a tree."""
+    attributes = span.attributes
+    parts = [span.name]
+    if attributes.get("detail"):
+        parts.append(attributes["detail"])
+    rows_in = attributes.get("rows_in")
+    rows_out = attributes.get("rows_out")
+    if rows_in is not None and rows_out is not None:
+        parts.append(f"rows={rows_in}→{rows_out}")
+    elif rows_out is not None:
+        parts.append(f"rows={rows_out}")
+    parts.extend(
+        f"{key}={value}"
+        for key, value in attributes.items()
+        if key not in _PLAN_FIELDS
+    )
+    if timings:
+        parts.append(f"({span.duration_seconds * 1000:.2f} ms)")
+    connector = "" if top else ("└─ " if last else "├─ ")
+    lines = [prefix + connector + "  ".join(parts)]
+    child_prefix = prefix if top else prefix + ("   " if last else "│  ")
+    for index, child in enumerate(span.children):
+        lines.extend(
+            _operator_lines(
+                child,
+                prefix=child_prefix,
+                last=index == len(span.children) - 1,
+                top=False,
+                timings=timings,
+            )
+        )
+    return lines
 
 
 def explain(result):

@@ -290,7 +290,7 @@ class MemoryTracker:
         )
 
 
-# -- context activation (mirrors plan_stats / profiler) ---------------------
+# -- context activation (mirrors repro.obs.spans) ---------------------------
 
 _CURRENT_MEMORY_SPEC: ContextVar[MemorySpec | None] = ContextVar(
     "repro_obs_memory_spec", default=None

@@ -17,13 +17,11 @@ Output formats (both renderable without any third-party package):
 * :meth:`SamplingProfiler.speedscope` — a speedscope JSON document
   (``type: sampled``), which Perfetto also imports.
 
-Activation mirrors :mod:`repro.obs.plan_stats`: pass
-``ask(..., profile=True)`` for one query, or activate a
-:class:`ProfileSpec` on the context so every ``ask`` inside the block
-is profiled::
+Pass ``ask(..., profile=True)`` (or an hz number, or a
+:class:`ProfileSpec`) to profile one query::
 
-    with activate_profiling(ProfileSpec(hz=499)):
-        nalix.ask(...)        # result.profile is a stopped profiler
+    result = nalix.ask(..., profile=ProfileSpec(hz=499))
+    result.profile          # a stopped profiler
 
 Safety: the sampler is a daemon thread, ``stop()`` is idempotent, and
 the context-manager form stops the thread on exception paths; a failed
@@ -40,7 +38,7 @@ import os
 import sys
 import threading
 import time
-from contextvars import ContextVar
+
 from repro.analysis.racecheck import named_lock
 
 #: Default sampling rate.  Prime, so the sampler does not phase-lock
@@ -438,39 +436,3 @@ def speedscope_document(samples, interval_seconds, name="repro"):
         ],
         "exporter": "repro.obs.profiler",
     }
-
-
-# -- context activation (mirrors plan_stats) --------------------------------
-
-_CURRENT_PROFILE_SPEC: ContextVar[ProfileSpec | None] = ContextVar(
-    "repro_obs_profile_spec", default=None
-)
-
-
-def current_profile_spec():
-    """The :class:`ProfileSpec` active in this context, or None."""
-    return _CURRENT_PROFILE_SPEC.get()
-
-
-class _ProfilingActivation:
-    __slots__ = ("_spec", "_tokens")
-
-    def __init__(self, spec):
-        self._spec = spec
-        self._tokens = []  # LIFO: safe under re-entrant use
-
-    def __enter__(self):
-        self._tokens.append(_CURRENT_PROFILE_SPEC.set(self._spec))
-        return self._spec
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        _CURRENT_PROFILE_SPEC.reset(self._tokens.pop())
-        return False
-
-
-def activate_profiling(spec=True):
-    """Profile every ``ask`` inside the ``with`` block.
-
-    ``spec`` is anything :meth:`ProfileSpec.coerce` accepts.
-    """
-    return _ProfilingActivation(ProfileSpec.coerce(spec))

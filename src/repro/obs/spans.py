@@ -19,7 +19,11 @@ Code that is far from the query entry point (the evaluator, the
 planner) can attach spans to whatever trace is active in the current
 context via the module-level :func:`span` helper, which degrades to a
 no-op when no trace is active — instrumented internals pay almost
-nothing when called outside ``ask``.
+nothing when called outside ``ask``.  These engine spans are the plan
+operators (flwor, scan, mqf-join, let, filter, order-by, return, with
+``detail``/``rows_in``/``rows_out`` attributes).  A trace keeps at most
+``max_engine_spans`` of them and is marked ``truncated`` past that;
+stage spans opened with :meth:`Trace.span` never count against the cap.
 """
 
 from __future__ import annotations
@@ -88,6 +92,11 @@ class Span:
         if status is not None:
             self.status = status
 
+    def set_duration(self, seconds):
+        """Report ``seconds`` (time accumulated across a loop the span
+        did not enclose) instead of the open-to-close wall time."""
+        self.ended_at = self.started_at + seconds
+
     # -- introspection -----------------------------------------------------
 
     def iter_spans(self):
@@ -150,11 +159,18 @@ class Span:
 class Trace:
     """A per-query tree of spans with an open-span stack."""
 
-    __slots__ = ("roots", "_stack")
+    #: Default cap on engine spans (those opened through :func:`span`).
+    MAX_ENGINE_SPANS = 512
+
+    __slots__ = ("roots", "_stack", "max_engine_spans", "_engine_spans",
+                 "truncated")
 
     def __init__(self):
         self.roots = []
         self._stack = []
+        self.max_engine_spans = Trace.MAX_ENGINE_SPANS
+        self._engine_spans = 0
+        self.truncated = False
 
     def span(self, name, **attributes):
         """Open a span (a context manager); nests under the innermost
@@ -211,10 +227,18 @@ class Trace:
         return sum(root.duration_seconds for root in self.roots)
 
     def to_dict(self):
-        return {"spans": [root.to_dict() for root in self.roots]}
+        data = {"spans": [root.to_dict() for root in self.roots]}
+        if self.truncated:
+            data["truncated"] = True
+        return data
 
     def render(self):
-        return "\n".join(root.render() for root in self.roots)
+        lines = [root.render() for root in self.roots]
+        if self.truncated:
+            lines.append(
+                f"... trace truncated at {self.max_engine_spans} engine spans"
+            )
+        return "\n".join(lines)
 
     def __repr__(self):
         return f"Trace({sum(1 for _ in self.iter_spans())} spans)"
@@ -234,6 +258,9 @@ class _NoopSpan:
         pass
 
     def finish(self, status=None):
+        pass
+
+    def set_duration(self, seconds):
         pass
 
     def __enter__(self):
@@ -276,8 +303,16 @@ def activate_trace(trace):
 
 
 def span(name, **attributes):
-    """Open a span on the context's active trace; no-op without one."""
+    """Open an engine span on the context's active trace.
+
+    A no-op without an active trace, and past the trace's engine-span
+    cap (which marks the trace ``truncated``).
+    """
     trace = _CURRENT_TRACE.get()
     if trace is None:
         return _NOOP_SPAN
+    if trace._engine_spans >= trace.max_engine_spans:
+        trace.truncated = True
+        return _NOOP_SPAN
+    trace._engine_spans += 1
     return trace.span(name, **attributes)

@@ -35,6 +35,7 @@ it can never run unbounded.  Every trip increments a
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from contextvars import ContextVar
 
 from repro.obs.metrics import METRICS
@@ -219,6 +220,12 @@ class BudgetMeter:
             return None
         return self._deadline_at - time.perf_counter()
 
+    def cap_deadline(self, seconds):
+        """Bring the deadline forward to ``seconds`` from now (never back)."""
+        deadline_at = time.perf_counter() + seconds
+        if self._deadline_at is None or deadline_at < self._deadline_at:
+            self._deadline_at = deadline_at
+
     def snapshot(self):
         """Plain-dict view of spending (for span attributes / audits)."""
         entry = dict(self.spent)
@@ -274,3 +281,24 @@ def check_deadline():
     meter = _ACTIVE_METER.get()
     if meter is not None:
         meter.check_deadline()
+
+
+@contextmanager
+def deadline_share(share):
+    """Give the ``with`` block at most ``share`` of the time left.
+
+    Inside the block the active meter's deadline falls ``share`` of the
+    remaining time from now; on exit the full deadline is restored, so
+    the rest is kept for whatever runs next.  No-op without an active
+    meter or without a deadline.
+    """
+    meter = _ACTIVE_METER.get()
+    saved = meter._deadline_at if meter is not None else None
+    if saved is None:
+        yield
+        return
+    meter.cap_deadline(share * meter.remaining_seconds())
+    try:
+        yield
+    finally:
+        meter._deadline_at = saved

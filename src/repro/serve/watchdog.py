@@ -120,6 +120,11 @@ class InflightRegistry:
         if deadline_seconds is None and meter is not None:
             deadline_seconds = meter.budget.deadline_seconds
         soft, hard = self._deadlines(deadline_seconds)
+        if meter is not None:
+            # Past ``hard`` the watchdog expires the meter anyway; making
+            # it the meter's deadline too lets cooperative code (the
+            # degradation ladder's deadline_share) plan against it.
+            meter.cap_deadline(hard)
         entry = _Entry(
             request_id=request_id,
             tenant=tenant,

@@ -15,8 +15,9 @@ compare them on random small documents.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 from repro.obs.metrics import METRICS
-from repro.obs.plan_stats import operator
 from repro.obs.spans import span
 from repro.resilience.budget import charge, check_deadline
 from repro.xmlstore.model import AttributeNode, ElementNode, TextNode
@@ -277,9 +278,9 @@ class Evaluator:
         return self._eval_flwor_naive(flwor, env)
 
     def _eval_flwor_naive(self, flwor, env):
-        with operator("flwor", detail="naive") as op:
+        with span("flwor", detail="naive") as op:
             result = self._eval_flwor_naive_inner(flwor, env)
-            op.rows_out = len(result)
+            op.set("rows_out", len(result))
         return result
 
     def _eval_flwor_naive_inner(self, flwor, env):
@@ -324,9 +325,9 @@ class Evaluator:
         return result
 
     def _eval_flwor_planned(self, flwor, env):
-        with operator("flwor", detail="planned") as flwor_op:
+        with span("flwor", detail="planned") as flwor_op:
             result = self._eval_flwor_planned_inner(flwor, env)
-            flwor_op.rows_out = len(result)
+            flwor_op.set("rows_out", len(result))
         return result
 
     def _eval_flwor_planned_inner(self, flwor, env):
@@ -340,9 +341,9 @@ class Evaluator:
         candidates = {}
         populations = {}
         for var, source in flwor.for_bindings():
-            with operator("scan", detail=f"${var}") as op:
+            with span("scan", detail=f"${var}") as op:
                 items = self.evaluate(source, env)
-                op.rows_in = len(items)
+                op.set("rows_in", len(items))
                 populations[var] = items
                 filtered = items
                 for predicate in plan.single_var_predicates[var]:
@@ -360,7 +361,7 @@ class Evaluator:
                         )
                     ]
                 candidates[var] = filtered
-                op.rows_out = len(filtered)
+                op.set("rows_out", len(filtered))
                 if plan.single_var_predicates[var]:
                     op.set(
                         "pushed_predicates",
@@ -376,16 +377,19 @@ class Evaluator:
         }
 
         # Let and residual-filter work is interleaved per tuple, so their
-        # operators accumulate time via start()/stop() across the loop.
+        # spans are closed here, keeping their place in the tree, and
+        # report the time accumulated across the loop afterwards.
         let_ops = []
-        for index, clause in enumerate(let_clauses):
-            with operator("let", detail=f"${clause.var}") as op:
+        for clause in let_clauses:
+            with span("let", detail=f"${clause.var}") as op:
                 pass
             let_ops.append(op)
-        with operator("filter", detail="residual predicates") as filter_op:
+        with span("filter", detail="residual predicates") as filter_op:
             pass
         let_hits = [0] * len(let_clauses)
         let_misses = [0] * len(let_clauses)
+        let_seconds = [0.0] * len(let_clauses)
+        filter_seconds = 0.0
 
         let_caches = [{} for _ in let_clauses]
         stream = []
@@ -395,8 +399,7 @@ class Evaluator:
                 {var: population_sets[var] for var in bindings},
             )
             for index, clause in enumerate(let_clauses):
-                let_op = let_ops[index]
-                let_op.start()
+                started = perf_counter()
                 key_vars = let_cache_plans[index]
                 if key_vars is not None:
                     key = tuple(
@@ -418,40 +421,40 @@ class Evaluator:
                     let_misses[index] += 1
                     value = self.evaluate(clause.expr, current)
                 current = current.child({clause.var: value})
-                let_op.stop()
-            filter_op.start()
+                let_seconds[index] += perf_counter() - started
+            started = perf_counter()
             kept = all(
                 effective_boolean_value(self.evaluate(conjunct, current))
                 for conjunct in plan.residual_conjuncts
             )
-            filter_op.stop()
+            filter_seconds += perf_counter() - started
             if kept:
                 stream.append(current)
 
-        for index in range(len(let_clauses)):
-            let_op = let_ops[index]
-            let_op.rows_in = len(tuples)
-            let_op.rows_out = let_misses[index]
+        for index, let_op in enumerate(let_ops):
+            let_op.set_duration(let_seconds[index])
+            let_op.set("rows_in", len(tuples))
+            let_op.set("rows_out", let_misses[index])
             let_op.set("cache_hits", let_hits[index])
-            let_op.set(
-                "cached", let_cache_plans[index] is not None
-            )
-        filter_op.rows_in = len(tuples)
-        filter_op.rows_out = len(stream)
+            let_op.set("cached", let_cache_plans[index] is not None)
+        filter_op.set_duration(filter_seconds)
+        filter_op.set("rows_in", len(tuples))
+        filter_op.set("rows_out", len(stream))
         filter_op.set("predicates", len(plan.residual_conjuncts))
 
         for clause in flwor.clauses:
             if isinstance(clause, ast.OrderByClause):
-                with operator("order-by") as op:
-                    op.rows_in = op.rows_out = len(stream)
+                with span("order-by") as op:
+                    op.set("rows_in", len(stream))
+                    op.set("rows_out", len(stream))
                     stream = self._order_stream(stream, clause)
         result = []
         return_expr = flwor.return_expr()
-        with operator("return") as op:
-            op.rows_in = len(stream)
+        with span("return") as op:
+            op.set("rows_in", len(stream))
             for current in stream:
                 result.extend(self.evaluate(return_expr, current))
-            op.rows_out = len(result)
+            op.set("rows_out", len(result))
         return result
 
     def _plan_let_caching(self, let_clauses, plan):

@@ -25,7 +25,7 @@ the ablation benchmark.
 from __future__ import annotations
 
 from repro.obs.metrics import METRICS
-from repro.obs.plan_stats import operator
+from repro.obs.spans import span
 from repro.resilience.budget import charge, check_deadline
 from repro.xquery import ast
 from repro.xquery.errors import XQueryEvaluationError
@@ -200,7 +200,7 @@ def enumerate_tuples(plan, candidates, populations):
                 raise XQueryEvaluationError(
                     f"mqf argument ${var} must range over nodes"
                 )
-        with operator(
+        with span(
             "mqf-join",
             detail=", ".join(f"${var}" for var in group.variables),
         ) as op:
@@ -208,10 +208,10 @@ def enumerate_tuples(plan, candidates, populations):
                 [candidates[var] for var in group.variables],
                 [populations[var] for var in group.variables],
             )
-            op.rows_in = sum(
-                len(candidates[var]) for var in group.variables
+            op.set(
+                "rows_in", sum(len(candidates[var]) for var in group.variables)
             )
-            op.rows_out = len(tuples)
+            op.set("rows_out", len(tuples))
             op.set(
                 "population",
                 sum(len(populations[var]) for var in group.variables),

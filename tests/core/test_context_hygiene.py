@@ -1,7 +1,7 @@
 """ContextVar hygiene: no ask() path may leak ambient context.
 
-Every activation in the stack (trace, plan stats, budget meter,
-profiler spec, memory spec, fault tenant) sets a ContextVar on entry
+Every activation in the stack (trace, budget meter, memory spec,
+fault tenant) sets a ContextVar on entry
 and must reset it on *every* exit path — including queries that fail
 inside the pipeline and exceptions that escape ``ask()`` entirely.  A
 leaked ContextVar silently attaches one request's trace or budget to
@@ -11,16 +11,12 @@ the next request on the same thread.
 import pytest
 
 from repro.obs.memory import activate_memory_tracking, current_memory_spec
-from repro.obs.plan_stats import current_plan_stats
-from repro.obs.profiler import current_profile_spec
 from repro.obs.spans import current_trace
 from repro.resilience.budget import active_meter
 from repro.resilience.faults import current_fault_tenant, fault_scope
 
 GETTERS = {
     "trace": current_trace,
-    "plan_stats": current_plan_stats,
-    "profile_spec": current_profile_spec,
     "memory_spec": current_memory_spec,
     "meter": active_meter,
     "fault_tenant": current_fault_tenant,

@@ -2,8 +2,8 @@
 
 The serving layer calls ``NaLIX.ask`` from many threads at once; these
 tests prove the per-query observability state does not bleed between
-threads: each result's trace/provenance/plan-stats describes only its
-own query, process-wide aggregates equal the sum of per-thread counts,
+threads: each result's trace (plan operators included) and provenance
+describe only its own query, process-wide aggregates equal the sum of per-thread counts,
 concurrent audit records never interleave, and the profiler's
 process-global switch-interval tweak survives concurrent use.
 """
@@ -79,7 +79,7 @@ class TestCrossThreadIsolation:
             assert id(result.trace) not in traces
             traces.add(id(result.trace))
 
-    def test_traces_and_plan_stats_are_per_query(self, movie_database):
+    def test_traces_and_operators_are_per_query(self, movie_database):
         nalix = NaLIX(movie_database)
         results = {}
         lock = threading.Lock()
@@ -99,7 +99,10 @@ class TestCrossThreadIsolation:
             assert sum(1 for span in spans if span.name == "parse") == 1
             assert sum(1 for span in spans if span.name == "evaluate") == 1
             assert "translate" in names
-            assert result.plan_stats is not None
+            # Exactly one flwor operator root, under this trace's own
+            # evaluate span: no other thread's operators leaked in.
+            (run,) = result.trace.find("evaluate").children
+            assert [op.name for op in run.children] == ["flwor"]
 
     def test_metrics_totals_equal_sum_of_threads(self, movie_database):
         nalix = NaLIX(movie_database)

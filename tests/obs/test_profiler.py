@@ -10,10 +10,8 @@ from repro.obs.profiler import (
     NO_SPAN,
     ProfileSpec,
     SamplingProfiler,
-    activate_profiling,
     collapse_samples,
     collapsed_text,
-    current_profile_spec,
     merge_profiles,
     speedscope_document,
     stage_of,
@@ -226,28 +224,20 @@ class TestSpeedscope:
 
 
 class TestActivation:
-    def test_default_is_off(self):
-        assert current_profile_spec() is None
-
-    def test_activation_scopes_spec(self):
-        with activate_profiling(300) as spec:
-            assert current_profile_spec() is spec
-            assert spec.hz == 300
-        assert current_profile_spec() is None
-
-    def test_ask_honours_activation(self, movie_nalix):
-        with activate_profiling(500):
-            result = movie_nalix.ask("Return the title of every movie.")
-        assert result.profile is not None
-        assert not result.profile.running
-        assert result.profile.hz == 500
-
     def test_ask_without_activation_has_no_profile(self, movie_nalix):
         result = movie_nalix.ask("Return the title of every movie.")
         assert result.profile is None
 
 
 class TestAskIntegration:
+    def test_explicit_rate_reaches_a_stopped_profiler(self, movie_nalix):
+        result = movie_nalix.ask(
+            "Return the title of every movie.", profile=500
+        )
+        assert result.profile is not None
+        assert not result.profile.running
+        assert result.profile.hz == 500
+
     def test_explicit_profile_collects_and_stops(self, movie_nalix):
         result = movie_nalix.ask(
             "Return every director, where the number of movies directed "
